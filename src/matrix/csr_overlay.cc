@@ -139,24 +139,6 @@ void CsrOverlay::MultiplyVector(const double* x, double* y) const {
   }
 }
 
-void CsrOverlay::MultiplyVectorRange(int64_t row_begin, int64_t row_end,
-                                     const double* x, double* y) const {
-  SRS_DCHECK(row_begin >= 0 && row_begin <= row_end && row_end <= rows());
-  // Per-row Row(r) gathers. Every SpMV rung keeps one strict ascending
-  // accumulation chain per output row (matrix/csr_kernels.h), so this
-  // scalar loop reproduces MultiplyVector's bits row for row — including
-  // patched rows, which MultiplyVector overwrites with exactly this
-  // gather.
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const CsrRowSpan row = Row(r);
-    double sum = 0.0;
-    for (int64_t k = 0; k < row.nnz; ++k) {
-      sum += row.vals[k] * x[row.cols[k]];
-    }
-    y[r] = sum;
-  }
-}
-
 void CsrOverlay::MultiplyVectorPremultiplied(const double* xp, const double* x,
                                              double* y, double* yp) const {
   const double* cv = BaseColumnConstantValues();

@@ -119,17 +119,6 @@ class CsrOverlay {
   /// multiplying by Compact(). `x` has cols() entries, `y` rows().
   void MultiplyVector(const double* x, double* y) const;
 
-  /// Row-range slice of MultiplyVector: computes `y[r] = (this * x)[r]`
-  /// for r in [row_begin, row_end) only, leaving every other entry of `y`
-  /// untouched. Each row is the same ascending (column, value) gather
-  /// chain MultiplyVector performs for that row, so the written entries
-  /// are bitwise identical to a full MultiplyVector's — the primitive the
-  /// sharded scatter/gather coordinator (shard/coordinator.h) partitions
-  /// the level recurrences with. Patched rows dispatch through Row(r)
-  /// like everywhere else.
-  void MultiplyVectorRange(int64_t row_begin, int64_t row_end,
-                           const double* x, double* y) const;
-
   /// The base matrix's per-column constant values when it is column-
   /// constant (CsrMatrix::ColumnConstantValues), else null. Patches never
   /// modify base rows, so the base's constants stay valid under any patch

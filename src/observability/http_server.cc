@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <utility>
 
 #include "srs/observability/exposition.h"
 
@@ -115,37 +114,11 @@ void MetricsHttpServer::Stop() {
   }
   if (serve_thread_.joinable()) serve_thread_.join();
   // The accept loop has exited, so no new handlers can appear.
-  std::vector<std::thread> handlers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    handlers.swap(handlers_);
-    finished_.clear();
-  }
-  for (std::thread& t : handlers) t.join();
+  handlers_.JoinAll();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-}
-
-void MetricsHttpServer::ReapFinishedHandlers() {
-  std::vector<std::thread> reap;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::thread::id id : finished_) {
-      const auto it =
-          std::find_if(handlers_.begin(), handlers_.end(),
-                       [id](const std::thread& t) { return t.get_id() == id; });
-      if (it != handlers_.end()) {
-        reap.push_back(std::move(*it));
-        handlers_.erase(it);
-      }
-    }
-    finished_.clear();
-  }
-  // A finished handler has already dropped mu_ and is exiting; these joins
-  // return (nearly) immediately.
-  for (std::thread& t : reap) t.join();
 }
 
 void MetricsHttpServer::ServeLoop() {
@@ -159,7 +132,6 @@ void MetricsHttpServer::ServeLoop() {
       ::close(fd);
       break;
     }
-    ReapFinishedHandlers();
     // A stalled client trips these timers and is dropped; it never blocks
     // the accept loop, which is already back in accept().
     timeval timeout{};
@@ -173,7 +145,7 @@ void MetricsHttpServer::ServeLoop() {
     // the same lock, make sure a late arrival is shut down too.
     if (stopping_.load()) ::shutdown(fd, SHUT_RDWR);
     active_fds_.push_back(fd);
-    handlers_.emplace_back([this, fd] { HandlerEntry(fd); });
+    handlers_.Spawn([this, fd] { HandlerEntry(fd); });
   }
 }
 
@@ -183,7 +155,6 @@ void MetricsHttpServer::HandlerEntry(int fd) {
   ::close(fd);
   active_fds_.erase(std::remove(active_fds_.begin(), active_fds_.end(), fd),
                     active_fds_.end());
-  finished_.push_back(std::this_thread::get_id());
 }
 
 void MetricsHttpServer::HandleConnection(int fd) {

@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "srs/common/connection_threads.h"
 #include "srs/common/json.h"
 #include "srs/common/result.h"
 #include "srs/observability/metrics.h"
@@ -79,7 +80,6 @@ class MetricsHttpServer {
   void ServeLoop();
   void HandlerEntry(int fd);
   void HandleConnection(int fd);
-  void ReapFinishedHandlers();
 
   MetricsHttpOptions options_;
   int listen_fd_ = -1;
@@ -90,9 +90,8 @@ class MetricsHttpServer {
   std::mutex mu_;
   /// In-flight connection sockets; Stop() shuts each down so handler
   /// threads unblock immediately instead of waiting out their timeouts.
-  std::vector<int> active_fds_;             // guarded by mu_
-  std::vector<std::thread> handlers_;       // guarded by mu_
-  std::vector<std::thread::id> finished_;   // guarded by mu_
+  std::vector<int> active_fds_;  // guarded by mu_
+  ConnectionThreads handlers_;
 };
 
 }  // namespace srs

@@ -76,6 +76,13 @@ Status ParseQueryFields(const JsonValue& doc,
     request->deadline_ms = deadline->AsNumber();
   }
 
+  // Unknown keys are ignored, so a removed knob must be refused by name:
+  // silently serving unsharded would mislead a client that asked for it.
+  if (doc.Find("shards") != nullptr) {
+    return Status::InvalidArgument(
+        "shards: in-process sharding was removed; omit the field");
+  }
+
   // Option overrides merge over the server's serving defaults; the builder
   // re-validates the merged configuration and names any offending field.
   SimilarityOptionsBuilder builder(defaults);
@@ -98,10 +105,6 @@ Status ParseQueryFields(const JsonValue& doc,
       {"top_k", true,
        [](SimilarityOptionsBuilder* b, double v) {
          b->TopK(static_cast<int>(v));
-       }},
-      {"shards", true,
-       [](SimilarityOptionsBuilder* b, double v) {
-         b->Shards(static_cast<int>(v));
        }},
   };
   for (const NumberKnob& knob : kKnobs) {

@@ -21,10 +21,14 @@ namespace {
 /// Buffered reader of '\n'-terminated lines from a socket.
 class LineReader {
  public:
+  enum class Read { kLine, kClosed, kTooLong };
+
   explicit LineReader(int fd) : fd_(fd) {}
 
-  /// Fills `*line` (without the terminator); false on EOF or error.
-  bool ReadLine(std::string* line) {
+  /// Fills `*line` (without the terminator). kClosed on EOF or error;
+  /// kTooLong once more than kMaxRequestLineBytes are buffered without a
+  /// newline.
+  Read ReadLine(std::string* line) {
     while (true) {
       const size_t newline = buffer_.find('\n', scanned_);
       if (newline != std::string::npos) {
@@ -32,12 +36,13 @@ class LineReader {
         buffer_.erase(0, newline + 1);
         scanned_ = 0;
         if (!line->empty() && line->back() == '\r') line->pop_back();
-        return true;
+        return Read::kLine;
       }
+      if (buffer_.size() > kMaxRequestLineBytes) return Read::kTooLong;
       scanned_ = buffer_.size();
       char chunk[4096];
       const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (got <= 0) return false;
+      if (got <= 0) return Read::kClosed;
       buffer_.append(chunk, static_cast<size_t>(got));
     }
   }
@@ -129,14 +134,7 @@ void SrsServer::Wait() {
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
   // No new connection threads can start now (the accept loop is gone);
   // join whatever is left.
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  conn_threads_.JoinAll();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -160,7 +158,7 @@ void SrsServer::AcceptLoop() {
       ++stats_.connections;
     }
     open_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    conn_threads_.Spawn([this, fd] { HandleConnection(fd); });
   }
 }
 
@@ -168,11 +166,23 @@ void SrsServer::HandleConnection(int fd) {
   LineReader reader(fd);
   std::string line;
   bool keep_going = true;
-  while (keep_going && reader.ReadLine(&line)) {
-    if (line.empty()) continue;
+  while (keep_going) {
+    const LineReader::Read read = reader.ReadLine(&line);
+    if (read == LineReader::Read::kClosed) break;
+    if (read == LineReader::Read::kLine && line.empty()) continue;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.requests;
+    }
+    if (read == LineReader::Read::kTooLong) {
+      CountResponse(false);
+      WriteLine(fd, MakeErrorResponse(
+                        JsonValue(), kStatusInvalidRequest,
+                        "request line exceeds the " +
+                            std::to_string(kMaxRequestLineBytes) +
+                            "-byte limit; closing the connection")
+                        .Encode());
+      break;
     }
     Result<ProtocolRequest> parsed =
         ParseRequestLine(line, service_->default_similarity());

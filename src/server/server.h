@@ -8,7 +8,8 @@
 /// non-issue by construction:
 ///
 ///  * an **accept thread** turns each TCP connection into a connection
-///    thread;
+///    thread (joined as soon as the next connection arrives after it
+///    ends, common/connection_threads.h);
 ///  * **connection threads** parse request lines (server/protocol.h). A
 ///    query is stamped at admission — the served version is pinned (so a
 ///    mid-traffic delta swap can never produce a torn answer), the
@@ -36,14 +37,20 @@
 #include <mutex>
 #include <thread>
 #include <unordered_set>
-#include <vector>
 
+#include "srs/common/connection_threads.h"
 #include "srs/common/result.h"
 #include "srs/engine/service.h"
 #include "srs/server/admission_queue.h"
 #include "srs/server/protocol.h"
 
 namespace srs {
+
+/// Longest request line a connection may send. Once a connection has
+/// buffered more than this without a newline, the server answers one
+/// `invalid_request` naming the limit and closes the connection, so a
+/// client that never ends its line cannot grow the server without bound.
+inline constexpr size_t kMaxRequestLineBytes = size_t{64} << 20;
 
 /// Configuration of an SrsServer.
 struct ServerOptions {
@@ -143,12 +150,14 @@ class SrsServer {
   std::thread dispatch_thread_;
 
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::unordered_set<int> open_fds_;
+  std::unordered_set<int> open_fds_;  // guarded by conn_mu_
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;
   PolledRegistration metrics_;
+
+  /// Last: connection threads use every member above.
+  ConnectionThreads conn_threads_;
 };
 
 }  // namespace srs

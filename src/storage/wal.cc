@@ -228,7 +228,13 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
       new Wal(std::move(fd), path, scan->header, valid_end));
 }
 
+Status Wal::Fail(Status status) {
+  if (failed_.ok()) failed_ = status;
+  return status;
+}
+
 Status Wal::Append(const Record& record) {
+  if (!failed_.ok()) return failed_;
   const std::vector<char> payload = EncodePayload(record.delta);
   RecordPrelude prelude;
   prelude.payload_len = static_cast<uint32_t>(payload.size());
@@ -242,19 +248,22 @@ Status Wal::Append(const Record& record) {
               payload.size());
   std::memcpy(frame.data() + sizeof(prelude) + payload.size(), &crc,
               sizeof(crc));
-  SRS_RETURN_NOT_OK(storage::WriteAll(fd_.get(), frame.data(), frame.size()));
-  SRS_RETURN_NOT_OK(storage::Fsync(fd_.get(), path_));
+  Status written = storage::WriteAll(fd_.get(), frame.data(), frame.size());
+  if (written.ok()) written = storage::Fsync(fd_.get(), path_);
+  if (!written.ok()) return Fail(std::move(written));
   size_bytes_ += frame.size();
   return Status::OK();
 }
 
 Status Wal::Reset(const Header& header) {
+  if (!failed_.ok()) return failed_;
   if (::ftruncate(fd_.get(), 0) != 0) {
-    return Status::IoError("ftruncate " + path_ + ": " +
-                           std::strerror(errno));
+    return Fail(Status::IoError("ftruncate " + path_ + ": " +
+                                std::strerror(errno)));
   }
   if (::lseek(fd_.get(), 0, SEEK_SET) < 0) {
-    return Status::IoError("lseek " + path_ + ": " + std::strerror(errno));
+    return Fail(
+        Status::IoError("lseek " + path_ + ": " + std::strerror(errno)));
   }
   WalFileHeader file_header;
   file_header.base_fingerprint = header.base_fingerprint;
@@ -262,9 +271,10 @@ Status Wal::Reset(const Header& header) {
   file_header.snapshot_version_fingerprint =
       header.snapshot_version_fingerprint;
   file_header.header_crc = HeaderCrc(file_header);
-  SRS_RETURN_NOT_OK(
-      storage::WriteAll(fd_.get(), &file_header, sizeof(file_header)));
-  SRS_RETURN_NOT_OK(storage::Fsync(fd_.get(), path_));
+  Status written =
+      storage::WriteAll(fd_.get(), &file_header, sizeof(file_header));
+  if (written.ok()) written = storage::Fsync(fd_.get(), path_);
+  if (!written.ok()) return Fail(std::move(written));
   header_ = header;
   size_bytes_ = sizeof(file_header);
   return Status::OK();

@@ -81,10 +81,19 @@ class Wal {
 
   /// Appends one CRC-framed record and fsyncs before returning — when
   /// this returns OK the record is durable.
+  ///
+  /// Failures are sticky: after any write or fsync error in Append or
+  /// Reset, every later Append and Reset returns that first error until
+  /// the process restarts. A failed write can leave a torn frame, and
+  /// recovery stops at the first bad frame, so a record appended behind
+  /// it would be acknowledged and then lost. A failed fsync is never
+  /// retried either: the kernel may already have dropped the dirty pages
+  /// it could not write.
   Status Append(const Record& record);
 
   /// Truncates the log to a fresh `header` (the checkpoint path: called
   /// only *after* the new snapshot file is durably renamed). Fsync'd.
+  /// Sticky on failure, like Append.
   Status Reset(const Header& header);
 
   /// Current log size in bytes (header included).
@@ -99,10 +108,14 @@ class Wal {
         header_(header),
         size_bytes_(size_bytes) {}
 
+  /// Records the first failure of Append/Reset and returns `status`.
+  Status Fail(Status status);
+
   storage::Fd fd_;
   std::string path_;
   Header header_;
   uint64_t size_bytes_ = 0;
+  Status failed_;  ///< first write/fsync failure; OK while healthy
 };
 
 }  // namespace srs

@@ -1,7 +1,8 @@
 // Property tests for the pluggable kernel backends (core/kernel_backend.h):
 //  * at prune_epsilon = 0 the sparse frontier backend is BITWISE identical
 //    to the dense reference, across random graphs, all three measures, and
-//    multiple thread counts — through both QueryEngine and AllPairsEngine;
+//    multiple thread counts — through QueryEngine, TopKEngine (rankings and
+//    termination diagnostics) and AllPairsEngine;
 //  * at prune_epsilon > 0 it deviates by at most the analytic ∞-norm bound
 //    derived from the epsilon, the series weights, and the transition
 //    matrices' row sums;
@@ -19,6 +20,7 @@
 #include "srs/engine/all_pairs_engine.h"
 #include "srs/engine/query_engine.h"
 #include "srs/engine/snapshot.h"
+#include "srs/engine/topk_engine.h"
 #include "srs/graph/generators.h"
 #include "srs/matrix/ops.h"
 
@@ -83,6 +85,11 @@ TEST(KernelBackendTest, SparseBitIdenticalToDenseAtZeroEpsilon) {
     QueryEngineOptions dense_opts;
     dense_opts.similarity = sim;
     QueryEngine dense = QueryEngine::Create(g, dense_opts).MoveValueOrDie();
+    TopKEngineOptions dense_topk_opts;
+    dense_topk_opts.similarity = sim;
+    dense_topk_opts.similarity.top_k = 3;
+    TopKEngine dense_topk =
+        TopKEngine::Create(g, dense_topk_opts).MoveValueOrDie();
     const std::vector<NodeId> batch = AllNodes(g);
     for (int threads : {1, 4}) {
       QueryEngineOptions sparse_opts;
@@ -92,7 +99,36 @@ TEST(KernelBackendTest, SparseBitIdenticalToDenseAtZeroEpsilon) {
       sparse_opts.num_threads = threads;
       QueryEngine sparse =
           QueryEngine::Create(g, sparse_opts).MoveValueOrDie();
+      TopKEngineOptions sparse_topk_opts;
+      sparse_topk_opts.similarity = sparse_opts.similarity;
+      sparse_topk_opts.similarity.top_k = 3;
+      sparse_topk_opts.num_threads = threads;
+      TopKEngine sparse_topk =
+          TopKEngine::Create(g, sparse_topk_opts).MoveValueOrDie();
       for (QueryMeasure measure : kAllMeasures) {
+        // Rankings too: same nodes, same partial scores, and the same
+        // early-termination diagnostics.
+        const auto want_topk =
+            dense_topk.BatchTopK(measure, batch).ValueOrDie();
+        const auto got_topk =
+            sparse_topk.BatchTopK(measure, batch).ValueOrDie();
+        ASSERT_EQ(got_topk.size(), want_topk.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const TopKResult& got = got_topk[i];
+          const TopKResult& want = want_topk[i];
+          ASSERT_EQ(got.ranking.size(), want.ranking.size());
+          for (size_t r = 0; r < want.ranking.size(); ++r) {
+            ASSERT_EQ(got.ranking[r].node, want.ranking[r].node)
+                << QueryMeasureToString(measure) << " threads=" << threads
+                << " query=" << batch[i] << " rank=" << r;
+            ASSERT_EQ(got.ranking[r].score, want.ranking[r].score)
+                << QueryMeasureToString(measure) << " threads=" << threads
+                << " query=" << batch[i] << " rank=" << r;
+          }
+          ASSERT_EQ(got.levels_evaluated, want.levels_evaluated);
+          ASSERT_EQ(got.levels_total, want.levels_total);
+          ASSERT_EQ(got.residual_bound, want.residual_bound);
+        }
         const auto want = dense.BatchScores(measure, batch).ValueOrDie();
         const auto got = sparse.BatchScores(measure, batch).ValueOrDie();
         ASSERT_EQ(got.size(), want.size());

@@ -8,10 +8,17 @@
 // Runs in the fast lane and again under TSan (LABELS "tsan"): the server
 // is the repo's most thread-dense component.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <clocale>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <map>
@@ -184,6 +191,8 @@ TEST(ProtocolTest, RejectionsNameTheField) {
        "similarity.damping"},
       {"{\"op\":\"query\",\"sources\":[0],\"backend\":\"gpu\"}",
        "similarity.backend"},
+      {"{\"op\":\"query\",\"sources\":[0],\"shards\":2}",
+       "shards: in-process sharding was removed"},
       {"{\"op\":\"teleport\"}", "op"},
       {"{\"op\":\"apply_delta\"}", "apply_delta"},
       {"{\"op\":\"apply_delta\",\"insert\":[[0]]}", "insert"},
@@ -702,6 +711,98 @@ TEST(ServerTest, ShutdownOpDrainsAndStopsTheServer) {
   server->Wait();
   EXPECT_TRUE(server->ShutdownRequested());
   EXPECT_GE(server->Stats().responses_ok, 2u);
+}
+
+/// This process's mapped virtual memory (VmSize), in bytes.
+uint64_t VmSizeBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      uint64_t kib = 0;
+      status >> kib;
+      return kib * 1024;
+    }
+    std::getline(status, key);
+  }
+  return 0;
+}
+
+// An exited connection thread that is never joined keeps its stack
+// mapped, so a client that reconnects often would grow the server by
+// megabytes per connection.
+TEST(ServerTest, ConnectionThreadsAreJoinedAsConnectionsEnd) {
+  std::unique_ptr<SrsService> service = MakeService(Fig1CitationGraph());
+  std::unique_ptr<SrsServer> server =
+      SrsServer::Start(service.get()).MoveValueOrDie();
+  JsonValue stats = JsonValue::MakeObject();
+  stats.Set("op", "stats");
+
+  const uint64_t before = VmSizeBytes();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 200; ++i) {
+    SrsClient client =
+        SrsClient::Connect("127.0.0.1", server->port()).MoveValueOrDie();
+    ASSERT_EQ(StatusOf(client.Call(stats).ValueOrDie()), kStatusOk);
+  }
+  const uint64_t after = VmSizeBytes();
+  EXPECT_LT(after, before + (uint64_t{256} << 20))
+      << "VmSize grew from " << before << " to " << after << " bytes";
+  EXPECT_EQ(server->Stats().connections, 200u);
+}
+
+// A line that never ends must not grow the server without bound: past
+// kMaxRequestLineBytes the connection gets one error naming the limit and
+// is closed, while other connections are served as usual.
+TEST(ServerTest, OverlongRequestLineIsRefusedAndTheConnectionClosed) {
+  std::unique_ptr<SrsService> service = MakeService(Fig1CitationGraph());
+  std::unique_ptr<SrsServer> server =
+      SrsServer::Start(service.get()).MoveValueOrDie();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // A server without the cap never answers; fail instead of hanging.
+  timeval timeout{};
+  timeout.tv_sec = 30;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(server->port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string endless(kMaxRequestLineBytes + 1, 'x');
+  size_t sent = 0;
+  while (sent < endless.size()) {
+    const ssize_t n = ::send(fd, endless.data() + sent,
+                             endless.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << "send failed after " << sent << " bytes";
+    sent += static_cast<size_t>(n);
+  }
+  std::string reply;
+  char chunk[4096];
+  while (true) {
+    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GE(got, 0) << "no reply and no EOF";
+    if (got == 0) break;  // EOF: the server closed the connection
+    reply.append(chunk, static_cast<size_t>(got));
+  }
+  ::close(fd);
+
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(reply.find('\n'), reply.size() - 1) << reply;
+  const JsonValue error =
+      ParseJson(reply.substr(0, reply.size() - 1)).ValueOrDie();
+  EXPECT_EQ(StatusOf(error), kStatusInvalidRequest) << reply;
+  EXPECT_NE(error.Find("error")->AsString().find(
+                std::to_string(kMaxRequestLineBytes)),
+            std::string::npos)
+      << reply;
+
+  SrsClient fresh =
+      SrsClient::Connect("127.0.0.1", server->port()).MoveValueOrDie();
+  EXPECT_EQ(StatusOf(fresh.Call(QueryLine(0)).ValueOrDie()), kStatusOk);
 }
 
 }  // namespace

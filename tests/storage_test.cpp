@@ -5,6 +5,9 @@
 // files (obsolete-record skip, mid-Reset WAL recreation, chain-identity
 // rejection).
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -14,6 +17,7 @@
 
 #include "gtest/gtest.h"
 #include "srs/common/crc32c.h"
+#include "srs/engine/service.h"
 #include "srs/engine/snapshot.h"
 #include "srs/graph/delta.h"
 #include "srs/graph/fixtures.h"
@@ -546,6 +550,74 @@ TEST(DurableStoreTest, IgnoresAStaleSnapshotTmp) {
   DurableStore::Recovered recovered;
   ASSERT_TRUE(DurableStore::Recover(dir, &recovered).ok());
   EXPECT_EQ(recovered.info.snapshot_version, 0u);
+}
+
+// A write that fails part-way leaves a torn frame, and recovery stops at
+// the first bad frame. So after one failed append the log must refuse
+// every later one: a delta acknowledged behind the torn frame would be
+// lost on restart.
+TEST(DurableStoreTest, AWalWriteFailureRefusesEveryLaterDelta) {
+  // Past RLIMIT_FSIZE, write() raises SIGXFSZ (default action: kill);
+  // ignored, the write fails with EFBIG instead.
+  struct sigaction ignore {};
+  struct sigaction previous {};
+  ignore.sa_handler = SIG_IGN;
+  ASSERT_EQ(::sigaction(SIGXFSZ, &ignore, &previous), 0);
+
+  const std::string dir = TempPath("store_sticky_failure");
+  SnapshotCache cache(8);
+  SrsServiceOptions options;
+  options.data_dir = dir;
+  options.snapshot_cache = &cache;
+  std::unique_ptr<SrsService> service =
+      SrsService::Create(Rmat(48, 160, 11).ValueOrDie(), options)
+          .MoveValueOrDie();
+
+  std::vector<uint64_t> acked_fingerprints;
+  const auto apply = [&](const EdgeDelta& delta) {
+    Result<uint64_t> version = service->ApplyDelta(delta);
+    if (version.ok()) {
+      acked_fingerprints.push_back(
+          service->graph().VersionFingerprint(version.ValueOrDie()));
+    }
+    return version.status();
+  };
+  ASSERT_TRUE(apply(MakeDelta(48, {{1, 9}})).ok());
+
+  // Let the next append write only a few bytes of its frame.
+  rlimit saved {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(
+      std::filesystem::file_size(DurableStore::WalPath(dir)) + 8);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tight), 0);
+  const Status torn = apply(MakeDelta(48, {{2, 10}}));
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  ASSERT_EQ(::sigaction(SIGXFSZ, &previous, nullptr), 0);
+  ASSERT_TRUE(torn.IsIoError()) << torn.ToString();
+
+  // The disk has room again, but the log stays failed: the next delta is
+  // refused with the first error, and the graph does not move.
+  const Status after = apply(MakeDelta(48, {{3, 11}}));
+  EXPECT_TRUE(after.IsIoError()) << after.ToString();
+  EXPECT_EQ(after.message(), torn.message());
+  EXPECT_EQ(service->ServedVersion(), 1u);
+
+  // Reads keep being served.
+  QueryRequest read;
+  read.sources = {0};
+  EXPECT_TRUE(service->Query(read).ok());
+
+  // Every acknowledged delta survives recovery, in order.
+  service.reset();
+  std::unique_ptr<SrsService> recovered =
+      SrsService::Recover(options).MoveValueOrDie();
+  ASSERT_EQ(recovered->ServedVersion(), acked_fingerprints.size());
+  for (size_t i = 0; i < acked_fingerprints.size(); ++i) {
+    EXPECT_EQ(recovered->graph().VersionFingerprint(i + 1),
+              acked_fingerprints[i])
+        << "version " << i + 1;
+  }
 }
 
 }  // namespace
